@@ -54,10 +54,11 @@ faults:
 	$(GO) test -tags tknn_fault ./...
 
 # Crash-recovery gate: the kill-at-random-offset and torn-tail tests with
-# fresh state (-count=1), then the whole WAL package under the race
-# detector.
+# fresh state (-count=1), the segment-file tests and fuzz seeds, then the
+# whole WAL package under the race detector.
 recover:
 	$(GO) test -count=1 -run 'Crash|Recovery|TornTail|Fuzz' ./internal/wal/
+	$(GO) test -count=1 -run 'Segment|Fuzz' ./internal/persist/
 	$(GO) test -race ./internal/wal/...
 
 # Executor perf trajectory: sequential vs parallel intra-query execution at

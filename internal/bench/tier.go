@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,13 +10,11 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/blockcache"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/nndescent"
 	"repro/internal/persist"
-	"repro/internal/sq"
 	"repro/internal/theap"
 	"repro/internal/vec"
 )
@@ -126,23 +123,10 @@ func TierExperiment(c Config, w io.Writer, jsonPath string) (TierReport, error) 
 		Dim: p.Dim, Metric: p.Metric, LeafSize: sl, Tau: p.Tau,
 		Builder: nndescent.MustNew(nndescent.DefaultConfig(p.GraphK)),
 		Search:  sp, Workers: c.Workers, Seed: c.Seed,
-		Spill: &core.SpillConfig{
-			Write: func(id, lo, hi, height int, g *graph.CSR, codes *sq.Codes) (int64, error) {
-				return persist.WriteSegmentFile(segDir, id, lo, hi, height, p.Dim, g, codes)
-			},
-			Load: func(ctx context.Context, key uint64) (blockcache.Value, error) {
-				g, codes, _, _, err := persist.ReadSegmentFile(segDir, int(key), p.Dim)
-				if err != nil {
-					return blockcache.Value{}, err
-				}
-				return blockcache.Value{Graph: g, Codes: codes}, nil
-			},
-			// Height <= 3 mirrors the shipped policy: short blocks (the
-			// bulk of the block count) spill, the tall roots that answer
-			// most of every window stay RAM-resident.
-			MaxHeight:  3,
-			CacheBytes: 1 << 40,
-		},
+		// Height <= 3 mirrors the shipped policy: short blocks (the
+		// bulk of the block count) spill, the tall roots that answer
+		// most of every window stay RAM-resident.
+		Spill: persist.SegmentSpill(segDir, p.Dim, 3, 1<<40),
 	})
 	if err != nil {
 		return report, fmt.Errorf("tier experiment: %w", err)

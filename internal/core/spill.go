@@ -12,8 +12,8 @@ import (
 
 // SpillConfig wires tiered storage into an index. The I/O endpoints are
 // injected as closures because the segment codec lives in
-// internal/persist, which imports core: the facade (package tknn) owns
-// both and connects them.
+// internal/persist, which imports core: persist.SegmentSpill builds the
+// config that connects them.
 type SpillConfig struct {
 	// Write durably persists one block's payload as an independently
 	// loadable segment (write to a temp file, fsync, rename) and returns

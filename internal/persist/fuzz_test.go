@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/sq"
 	"repro/internal/wal"
 )
 
@@ -178,4 +179,48 @@ func TestLoadSFNeverPanics(t *testing.T) {
 			_, _ = LoadSF(bytes.NewReader(raw), nil)
 		}()
 	}
+}
+
+// FuzzReadSegment feeds arbitrary bytes to the segment decoder. The
+// identity it is asked to check (block id, dim) is taken from the
+// input's own header, so mutations reach past the identity checks. The
+// decoder must never panic; anything it accepts must re-encode
+// byte-identically through WriteSegment (the format has one encoding
+// per payload); and the same bytes with anything appended after the
+// footer must be rejected.
+func FuzzReadSegment(f *testing.F) {
+	g, codes := segPayload(f)
+	for _, c := range []*sq.Codes{nil, codes} {
+		var buf bytes.Buffer
+		if err := WriteSegment(&buf, 3, 16, 32, 1, 6, g, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Header words: magic, version, id, lo, hi, height, dim.
+		var id, height, dim int
+		if len(raw) >= 7*8 {
+			id = int(order.Uint64(raw[16:]))
+			height = int(order.Uint64(raw[40:]))
+			dim = int(order.Uint64(raw[48:]))
+		}
+		g, c, lo, hi, err := ReadSegment(bytes.NewReader(raw), id, dim)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteSegment(&again, id, lo, hi, height, dim, g, c); err != nil {
+			t.Fatalf("re-encoding an accepted segment: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), raw) {
+			t.Fatalf("accepted segment re-encodes to %d different bytes (input %d)", again.Len(), len(raw))
+		}
+		for _, tail := range [][]byte{{0}, raw[len(raw)-8:]} {
+			long := append(append([]byte{}, raw...), tail...)
+			if _, _, _, _, err := ReadSegment(bytes.NewReader(long), id, dim); err == nil {
+				t.Fatalf("accepted a segment with %d bytes after the footer", len(tail))
+			}
+		}
+	})
 }

@@ -11,7 +11,15 @@
 // graph with a presence byte and, when set, the block's SQ8 codes
 // (per-dim quantizer parameters, 1-byte codes, cached norms), all inside
 // the CRC envelope. Version-1 and version-2 files are still read; they
-// simply restore with no codes, searching flat.
+// simply restore with no codes, searching flat. Version 4 lets a block
+// live in its own segment file (segment.go) instead of inline.
+//
+// Two readers share one graph/codes parser and one set of little-endian
+// array decoders. Snapshots are streamed: counts are untrusted, so the
+// arrays grow in bounded chunks and the footer is checked at the end.
+// Segments are small and paged in on the query path, so a segment file
+// is read whole in one read, its footer CRC checked before any parsing,
+// and every count bounded by the bytes left in the file.
 package persist
 
 import (
@@ -20,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -250,13 +259,13 @@ func LoadMBI(r io.Reader, opts core.Options) (*core.Index, error) {
 			b.Spilled = true
 			b.SegBytes = int64(segBytes)
 		case locInline:
-			g, err := readGraph(cr)
+			g, err := readGraph(stream{cr})
 			if err != nil {
 				return nil, err
 			}
 			b.Graph = g
 			if ver >= minCodeVersion {
-				if b.Codes, err = readCodes(cr); err != nil {
+				if b.Codes, err = readCodes(stream{cr}); err != nil {
 					return nil, err
 				}
 			}
@@ -324,7 +333,7 @@ func LoadSF(r io.Reader, builder graph.Builder) (*sf.Index, error) {
 	if err := readInts(cr, &built); err != nil {
 		return nil, err
 	}
-	g, err := readGraph(cr)
+	g, err := readGraph(stream{cr})
 	if err != nil {
 		return nil, err
 	}
@@ -432,44 +441,119 @@ func readData(r io.Reader, dim, n int) (*vec.Store, []int64, error) {
 // having allocated at most one chunk too many.
 const readChunk = 1 << 20 // elements per chunk
 
-func readFloat32Slice(r io.Reader, n int) ([]float32, error) {
-	out := make([]float32, 0, minInt(n, readChunk))
+// readChunked reads n elements of size bytes each from r. Every chunk
+// goes through one reused byte buffer and is decoded onto the result by
+// dec, the same little-endian helper the segment cursor uses.
+func readChunked[T any](r io.Reader, n, size int, dec func([]T, []byte) []T) ([]T, error) {
+	var out []T // grown by dec, which sizes each step to the chunk
+	chunk := make([]byte, size*minInt(n, readChunk))
 	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]float32, c)
-		if err := binary.Read(r, order, chunk); err != nil {
+		c := chunk[:size*minInt(n-len(out), readChunk)]
+		if _, err := io.ReadFull(r, c); err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
+		out = dec(out, c)
 	}
 	return out, nil
+}
+
+func readFloat32Slice(r io.Reader, n int) ([]float32, error) {
+	return readChunked(r, n, 4, appendFloat32s)
 }
 
 func readInt64Slice(r io.Reader, n int) ([]int64, error) {
-	out := make([]int64, 0, minInt(n, readChunk))
-	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]int64, c)
-		if err := binary.Read(r, order, chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
+	return readChunked(r, n, 8, appendInt64s)
 }
 
 func readInt32Slice(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, minInt(n, readChunk))
-	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]int32, c)
-		if err := binary.Read(r, order, chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
+	return readChunked(r, n, 4, appendInt32s)
 }
+
+func readUint8Slice(r io.Reader, n int) ([]uint8, error) {
+	return readChunked(r, n, 1, appendUint8s)
+}
+
+// appendInt32s decodes src as little-endian int32s onto dst; a partial
+// trailing element is ignored (callers pass whole elements). The main
+// loop takes four elements per two 8-byte loads rather than one load
+// per element: int32 adjacency is the bulk of a segment decode.
+func appendInt32s(dst []int32, src []byte) []int32 {
+	n := len(dst)
+	dst = append(dst, make([]int32, len(src)/4)...)
+	out := dst[n:]
+	for len(out) >= 4 && len(src) >= 16 {
+		lo, hi := order.Uint64(src[:8]), order.Uint64(src[8:16])
+		out[0], out[1] = int32(uint32(lo)), int32(uint32(lo>>32))
+		out[2], out[3] = int32(uint32(hi)), int32(uint32(hi>>32))
+		out, src = out[4:], src[16:]
+	}
+	for i := range out {
+		out[i] = int32(order.Uint32(src[4*i:]))
+	}
+	return dst
+}
+
+// appendFloat32s decodes src as little-endian IEEE float32s onto dst,
+// unrolled like appendInt32s (float32 vectors are the bulk of a
+// snapshot).
+func appendFloat32s(dst []float32, src []byte) []float32 {
+	n := len(dst)
+	dst = append(dst, make([]float32, len(src)/4)...)
+	out := dst[n:]
+	for len(out) >= 4 && len(src) >= 16 {
+		lo, hi := order.Uint64(src[:8]), order.Uint64(src[8:16])
+		out[0], out[1] = math.Float32frombits(uint32(lo)), math.Float32frombits(uint32(lo>>32))
+		out[2], out[3] = math.Float32frombits(uint32(hi)), math.Float32frombits(uint32(hi>>32))
+		out, src = out[4:], src[16:]
+	}
+	for i := range out {
+		out[i] = math.Float32frombits(order.Uint32(src[4*i:]))
+	}
+	return dst
+}
+
+// appendInt64s decodes src as little-endian int64s onto dst.
+func appendInt64s(dst []int64, src []byte) []int64 {
+	for i := 0; i+8 <= len(src); i += 8 {
+		dst = append(dst, int64(order.Uint64(src[i:i+8])))
+	}
+	return dst
+}
+
+// appendUint8s copies src onto dst: bytes need no decoding, but they
+// must not alias the buffer they were read into.
+func appendUint8s(dst, src []uint8) []uint8 {
+	return append(dst, src...)
+}
+
+// decoder is what the graph and codes parsers read from: a stream for
+// snapshot loads, a cursor over an in-memory body for segment loads
+// (segment.go). Counts handed to it are untrusted, so each
+// implementation bounds its allocations — a stream grows its result in
+// chunks, a cursor refuses a count larger than the bytes it has left —
+// and every slice it returns is owned by the caller.
+type decoder interface {
+	readInts(vs ...*uint64) error
+	readUint8() (uint8, error)
+	int32s(n int) ([]int32, error)
+	float32s(n int) ([]float32, error)
+	uint8s(n int) ([]uint8, error)
+}
+
+// stream is the decoder over an io.Reader, built on the chunked readers.
+type stream struct{ r io.Reader }
+
+func (s stream) readInts(vs ...*uint64) error { return readInts(s.r, vs...) }
+
+func (s stream) readUint8() (uint8, error) {
+	var v uint8
+	err := binaryRead(s.r, &v)
+	return v, err
+}
+
+func (s stream) int32s(n int) ([]int32, error)     { return readInt32Slice(s.r, n) }
+func (s stream) float32s(n int) ([]float32, error) { return readFloat32Slice(s.r, n) }
+func (s stream) uint8s(n int) ([]uint8, error)     { return readUint8Slice(s.r, n) }
 
 func minInt(a, b int) int {
 	if a < b {
@@ -488,19 +572,19 @@ func writeGraph(w io.Writer, g *graph.CSR) error {
 	return binary.Write(w, order, g.Adj)
 }
 
-func readGraph(r io.Reader) (*graph.CSR, error) {
+func readGraph(d decoder) (*graph.CSR, error) {
 	var nOff, nAdj uint64
-	if err := readInts(r, &nOff, &nAdj); err != nil {
+	if err := d.readInts(&nOff, &nAdj); err != nil {
 		return nil, err
 	}
 	if nOff > 1<<40 || nAdj > 1<<40 {
 		return nil, fmt.Errorf("persist: implausible graph sizes (%d offsets, %d edges)", nOff, nAdj)
 	}
-	off, err := readInt32Slice(r, int(nOff))
+	off, err := d.int32s(int(nOff))
 	if err != nil {
 		return nil, err
 	}
-	adj, err := readInt32Slice(r, int(nAdj))
+	adj, err := d.int32s(int(nAdj))
 	if err != nil {
 		return nil, err
 	}
@@ -539,12 +623,12 @@ func writeCodes(w io.Writer, c *sq.Codes) error {
 }
 
 // readCodes reads the optional SQ8 section written by writeCodes. The
-// counts are untrusted (chunked reads); the decoded structure is validated
-// before use so a corrupt-but-CRC-passing section still cannot produce an
-// inconsistent quantizer.
-func readCodes(r io.Reader) (*sq.Codes, error) {
-	var present uint8
-	if err := binaryRead(r, &present); err != nil {
+// counts are untrusted (bounded by the decoder); the decoded structure is
+// validated before use so a corrupt-but-CRC-passing section still cannot
+// produce an inconsistent quantizer.
+func readCodes(d decoder) (*sq.Codes, error) {
+	present, err := d.readUint8()
+	if err != nil {
 		return nil, err
 	}
 	switch present {
@@ -555,43 +639,29 @@ func readCodes(r io.Reader) (*sq.Codes, error) {
 		return nil, fmt.Errorf("persist: bad codes presence byte %d", present)
 	}
 	var dim, n uint64
-	if err := readInts(r, &dim, &n); err != nil {
+	if err := d.readInts(&dim, &n); err != nil {
 		return nil, err
 	}
 	if dim == 0 || dim > 1<<20 || n > 1<<40 {
 		return nil, fmt.Errorf("persist: implausible code sizes (dim %d, %d rows)", dim, n)
 	}
 	c := &sq.Codes{Dim: int(dim), N: int(n)}
-	var err error
-	if c.Min, err = readFloat32Slice(r, int(dim)); err != nil {
+	if c.Min, err = d.float32s(int(dim)); err != nil {
 		return nil, err
 	}
-	if c.Step, err = readFloat32Slice(r, int(dim)); err != nil {
+	if c.Step, err = d.float32s(int(dim)); err != nil {
 		return nil, err
 	}
-	if c.Data, err = readUint8Slice(r, int(dim)*int(n)); err != nil {
+	if c.Data, err = d.uint8s(int(dim) * int(n)); err != nil {
 		return nil, err
 	}
-	if c.Norms, err = readFloat32Slice(r, int(n)); err != nil {
+	if c.Norms, err = d.float32s(int(n)); err != nil {
 		return nil, err
 	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	return c, nil
-}
-
-func readUint8Slice(r io.Reader, n int) ([]uint8, error) {
-	out := make([]uint8, 0, minInt(n, readChunk))
-	for len(out) < n {
-		c := minInt(n-len(out), readChunk)
-		chunk := make([]uint8, c)
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return nil, err
-		}
-		out = append(out, chunk...)
-	}
-	return out, nil
 }
 
 func writeInts(w io.Writer, vs ...uint64) error {

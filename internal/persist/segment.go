@@ -2,11 +2,17 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
+	"repro/internal/blockcache"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/sq"
@@ -24,13 +30,22 @@ import (
 //	codes   (writeCodes: presence byte + payload)
 //	u32 footerMagic, u32 crc32c   (past the hash, like the snapshot footer)
 //
-// Counts are untrusted on the way in — the chunked readers bound every
-// allocation — and the decoded structures are cross-validated against
-// the header (node count == hi-lo) before the payload is accepted, so a
-// corrupt-but-CRC-passing segment still cannot reach a kernel.
+// A segment is read whole in one read and its footer CRC checked before
+// anything is parsed. Counts are still untrusted — the cursor checks
+// each against the bytes left before allocating — and the decoded
+// structures are cross-validated against the header (node count ==
+// hi-lo) before the payload is accepted, so a corrupt-but-CRC-passing
+// segment still cannot reach a kernel.
 const (
 	segMagic   = uint64(0x4d424953) // "MBIS"
 	segVersion = uint64(1)
+
+	// segMinBytes is the smallest well-formed segment: header, the two
+	// graph lengths, the codes presence byte, and the footer.
+	segMinBytes = 7*8 + 2*8 + 1 + 8
+	// segMaxBytes rejects a segment file too large to be one block's
+	// payload before a buffer of its size is allocated.
+	segMaxBytes = 1 << 36
 )
 
 // segFaultWriter routes segment bytes through the persist.segment.write
@@ -82,12 +97,41 @@ func WriteSegment(w io.Writer, id, lo, hi, height, dim int, g *graph.CSR, codes 
 // footer and that the segment describes block wantID of a wantDim
 // index. It returns the graph, the optional codes, and the block range
 // the segment claims; the caller must check that range against its own
-// block table before using the payload.
+// block table before using the payload. It reads r to EOF and decodes
+// exactly as ReadSegmentFile does.
 func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, int, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("persist: reading segment: %w", err)
+	}
+	return decodeSegment(raw, wantID, wantDim)
+}
+
+// decodeSegment parses one whole segment held in raw: footer and CRC
+// first, then the body through a cursor. Nothing it returns aliases raw.
+func decodeSegment(raw []byte, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, int, error) {
+	if fault.Enabled {
+		// Injection point persist.read: a failed segment read — the
+		// block-cache load fails and the query degrades to Partial.
+		if err := fault.Hit("persist.read"); err != nil {
+			return nil, nil, 0, 0, err
+		}
+	}
+	if len(raw) < segMinBytes {
+		return nil, nil, 0, 0, fmt.Errorf("persist: segment of %d bytes is shorter than the smallest segment (truncated?)", len(raw))
+	}
+	// The footer vouches for every byte before it; nothing is parsed
+	// until it does.
+	body, foot := raw[:len(raw)-8], raw[len(raw)-8:]
+	if m := order.Uint32(foot); m != footerMagic {
+		return nil, nil, 0, 0, fmt.Errorf("persist: bad footer magic %#x (file truncated?)", m)
+	}
+	if want, sum := order.Uint32(foot[4:]), crc32.Checksum(body, castagnoli); sum != want {
+		return nil, nil, 0, 0, fmt.Errorf("persist: checksum mismatch: file says %#x, content hashes to %#x", want, sum)
+	}
+	c := &cursor{b: body}
 	var m, ver uint64
-	if err := readInts(cr, &m, &ver); err != nil {
+	if err := c.readInts(&m, &ver); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("persist: segment header: %w", err)
 	}
 	if m != segMagic {
@@ -97,7 +141,7 @@ func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, 
 		return nil, nil, 0, 0, fmt.Errorf("persist: unsupported segment version %d", ver)
 	}
 	var id, lo, hi, height, dim uint64
-	if err := readInts(cr, &id, &lo, &hi, &height, &dim); err != nil {
+	if err := c.readInts(&id, &lo, &hi, &height, &dim); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("persist: segment header: %w", err)
 	}
 	if id != uint64(wantID) {
@@ -109,16 +153,16 @@ func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, 
 	if lo > hi || hi > 1<<40 || height > 64 {
 		return nil, nil, 0, 0, fmt.Errorf("persist: implausible segment range [%d,%d) height %d", lo, hi, height)
 	}
-	g, err := readGraph(cr)
+	g, err := readGraph(c)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	codes, err := readCodes(cr)
+	codes, err := readCodes(c)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	if err := verifyFooter(uint32(crcVersion), br, cr.sum); err != nil {
-		return nil, nil, 0, 0, err
+	if len(c.b) != 0 {
+		return nil, nil, 0, 0, fmt.Errorf("persist: %d stray bytes between segment codes and footer", len(c.b))
 	}
 	// Structural cross-checks after the CRC: a valid checksum proves the
 	// bytes are what was written, not that what was written matches this
@@ -131,6 +175,66 @@ func ReadSegment(r io.Reader, wantID, wantDim int) (*graph.CSR, *sq.Codes, int, 
 		return nil, nil, 0, 0, fmt.Errorf("persist: segment codes cover %d rows (dim %d) for range [%d,%d)", codes.N, codes.Dim, lo, hi)
 	}
 	return g, codes, int(lo), int(hi), nil
+}
+
+// cursor is the decoder over a segment body held in memory. Each read
+// checks the bytes left before it allocates, so a corrupt count fails
+// without an allocation larger than the file; decoded arrays are
+// exact-size copies, never views of the body.
+type cursor struct{ b []byte }
+
+// take consumes n elements of size bytes each.
+func (c *cursor) take(n, size int) ([]byte, error) {
+	if n < 0 || n > len(c.b)/size {
+		return nil, fmt.Errorf("persist: segment section of %d×%d bytes overruns the %d bytes left: %w", n, size, len(c.b), io.ErrUnexpectedEOF)
+	}
+	p := c.b[:n*size]
+	c.b = c.b[n*size:]
+	return p, nil
+}
+
+func (c *cursor) readInts(vs ...*uint64) error {
+	for _, v := range vs {
+		p, err := c.take(1, 8)
+		if err != nil {
+			return err
+		}
+		*v = order.Uint64(p)
+	}
+	return nil
+}
+
+func (c *cursor) readUint8() (uint8, error) {
+	p, err := c.take(1, 1)
+	if err != nil {
+		return 0, err
+	}
+	return p[0], nil
+}
+
+func (c *cursor) int32s(n int) ([]int32, error) {
+	p, err := c.take(n, 4)
+	if err != nil {
+		return nil, err
+	}
+	return appendInt32s(nil, p), nil
+}
+
+func (c *cursor) float32s(n int) ([]float32, error) {
+	p, err := c.take(n, 4)
+	if err != nil {
+		return nil, err
+	}
+	return appendFloat32s(nil, p), nil
+}
+
+func (c *cursor) uint8s(n int) ([]uint8, error) {
+	p, err := c.take(n, 1)
+	if err != nil {
+		return nil, err
+	}
+	// A clone, not a view: the body may be a pooled read buffer.
+	return bytes.Clone(p), nil
 }
 
 // SegmentFileName is the on-disk name of block id's segment.
@@ -183,22 +287,60 @@ func WriteSegmentFile(dir string, id, lo, hi, height, dim int, g *graph.CSR, cod
 	return size, nil
 }
 
+// segReadBufs recycles ReadSegmentFile's read buffers. A cold query
+// pages in whole segments; a fresh file-sized buffer per load would be
+// zeroed only to be thrown away after the decode copies out of it.
+var segReadBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // ReadSegmentFile loads block id's segment from dir, verifying identity
 // and integrity, and returns the payload plus the block range the
-// segment claims.
+// segment claims. The file is read whole in one read into a pooled
+// buffer, so every count in it is bounded by the file's length.
 func ReadSegmentFile(dir string, id, dim int) (*graph.CSR, *sq.Codes, int, int, error) {
 	f, err := os.Open(filepath.Join(dir, SegmentFileName(id)))
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	g, codes, lo, hi, err := ReadSegment(f, id, dim)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	defer f.Close() // read-only: a failed Close loses nothing
+	info, err := f.Stat()
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	return g, codes, lo, hi, nil
+	size := info.Size()
+	if size < segMinBytes || size > segMaxBytes {
+		return nil, nil, 0, 0, fmt.Errorf("persist: segment %s has implausible size %d", f.Name(), size)
+	}
+	bp := segReadBufs.Get().(*[]byte)
+	defer segReadBufs.Put(bp)
+	if int64(cap(*bp)) < size {
+		*bp = make([]byte, size)
+	}
+	buf := (*bp)[:size]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, nil, 0, 0, fmt.Errorf("persist: reading segment %s: %w", f.Name(), err)
+	}
+	return decodeSegment(buf, id, dim)
+}
+
+// SegmentSpill wires a core index's tiered storage to segment files in
+// dir for a dim-dimensional index: Write spills with WriteSegmentFile,
+// Load pages a block back with ReadSegmentFile. maxHeight and
+// cacheBytes become the config's MaxHeight and CacheBytes.
+func SegmentSpill(dir string, dim, maxHeight int, cacheBytes int64) *core.SpillConfig {
+	return &core.SpillConfig{
+		Write: func(id, lo, hi, height int, g *graph.CSR, c *sq.Codes) (int64, error) {
+			return WriteSegmentFile(dir, id, lo, hi, height, dim, g, c)
+		},
+		Load: func(ctx context.Context, key uint64) (blockcache.Value, error) {
+			g, c, _, _, err := ReadSegmentFile(dir, int(key), dim)
+			if err != nil {
+				return blockcache.Value{}, err
+			}
+			return blockcache.Value{Graph: g, Codes: c}, nil
+		},
+		MaxHeight:  maxHeight,
+		CacheBytes: cacheBytes,
+	}
 }
 
 // syncSegDir fsyncs a directory so a just-renamed segment's entry is

@@ -3,37 +3,20 @@ package persist
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/blockcache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/nndescent"
 	"repro/internal/sq"
 	"repro/internal/vec"
 )
-
-// dirSpillConfig wires a core index's tiered storage to segment files
-// in dir — the same closures the tknn facade builds.
-func dirSpillConfig(dir string, dim, maxHeight int, cacheBytes int64) *core.SpillConfig {
-	return &core.SpillConfig{
-		Write: func(id, lo, hi, height int, g *graph.CSR, c *sq.Codes) (int64, error) {
-			return WriteSegmentFile(dir, id, lo, hi, height, dim, g, c)
-		},
-		Load: func(ctx context.Context, key uint64) (blockcache.Value, error) {
-			g, c, _, _, err := ReadSegmentFile(dir, int(key), dim)
-			if err != nil {
-				return blockcache.Value{}, err
-			}
-			return blockcache.Value{Graph: g, Codes: c}, nil
-		},
-		MaxHeight:  maxHeight,
-		CacheBytes: cacheBytes,
-	}
-}
 
 // buildSpillMBI builds an index with tiered storage into dir and n
 // appended vectors, optionally SQ8-compressed.
@@ -43,7 +26,7 @@ func buildSpillMBI(t *testing.T, dir string, n int, compress bool) *core.Index {
 		Dim: 6, Metric: vec.Euclidean, LeafSize: 8, Tau: 0.5,
 		Builder: nndescent.MustNew(nndescent.DefaultConfig(4)),
 		Search:  graph.SearchParams{MC: 16, Eps: 1.2}, Seed: 3,
-		Spill: dirSpillConfig(dir, 6, 8, 1<<20),
+		Spill: SegmentSpill(dir, 6, 8, 1<<20),
 	}
 	if compress {
 		opts.Compression = sq.SQ8
@@ -65,7 +48,7 @@ func buildSpillMBI(t *testing.T, dir string, n int, compress bool) *core.Index {
 	return ix
 }
 
-func segPayload(t *testing.T) (*graph.CSR, *sq.Codes) {
+func segPayload(t testing.TB) (*graph.CSR, *sq.Codes) {
 	t.Helper()
 	store := vec.NewStore(6)
 	rng := rand.New(rand.NewSource(7))
@@ -152,6 +135,81 @@ func TestSegmentRejectsWrongIdentity(t *testing.T) {
 	}
 	if _, _, _, _, err := ReadSegment(bytes.NewReader(buf.Bytes()), 5, 8); err == nil {
 		t.Fatal("ReadSegment accepted a segment with the wrong dimension")
+	}
+}
+
+// TestSegmentFormatGolden pins the bytes WriteSegment produces for a
+// fixed payload. If it fails, the segment format changed: segments
+// already on disk would no longer load, so either revert the change or
+// bump segVersion and keep a reader for the old version.
+func TestSegmentFormatGolden(t *testing.T) {
+	g, codes := segPayload(t)
+	var buf bytes.Buffer
+	if err := WriteSegment(&buf, 3, 16, 32, 1, 6, g, codes); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	const want = "1451b4282d81c5050f862504b022c6aab2eeb2121f4ad3829ca40054d45823af"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("segment format changed: sha256 = %s, want %s", got, want)
+	}
+	if _, _, _, _, err := ReadSegment(bytes.NewReader(buf.Bytes()), 3, 6); err != nil {
+		t.Fatalf("golden segment does not load: %v", err)
+	}
+}
+
+// TestSegmentRejectsStrayBytes pins the check between the codes section
+// and the footer: bytes there, even under a valid checksum, are not part
+// of any payload the writer produces.
+func TestSegmentRejectsStrayBytes(t *testing.T) {
+	g, _ := segPayload(t)
+	var buf bytes.Buffer
+	if err := WriteSegment(&buf, 0, 0, 16, 0, 6, g, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	body := append(append([]byte{}, raw[:len(raw)-8]...), 0, 0, 0)
+	bad := order.AppendUint32(order.AppendUint32(body, footerMagic), crc32.Checksum(body, castagnoli))
+	if _, _, _, _, err := ReadSegment(bytes.NewReader(bad), 0, 6); err == nil {
+		t.Fatal("ReadSegment accepted stray bytes before the footer")
+	}
+}
+
+// TestReadSegmentFileOwnsItsResult reads one segment, then another
+// through the same pooled read buffer, and checks that the first result
+// did not change: nothing returned may alias the buffer.
+func TestReadSegmentFileOwnsItsResult(t *testing.T) {
+	dir := t.TempDir()
+	g, codes := segPayload(t)
+	if _, err := WriteSegmentFile(dir, 1, 0, 16, 0, 6, g, codes); err != nil {
+		t.Fatal(err)
+	}
+	other := *codes
+	other.Data = bytes.Repeat([]byte{0xa5}, len(codes.Data))
+	if _, err := WriteSegmentFile(dir, 2, 0, 16, 0, 6, g, &other); err != nil {
+		t.Fatal(err)
+	}
+	_, c1, _, _, err := ReadSegmentFile(dir, 1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, _, _, _, err := ReadSegmentFile(dir, 2, 6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(c1.Data, codes.Data) {
+		t.Fatal("codes of an earlier read changed under a later read")
+	}
+}
+
+func TestReadSegmentFileRejectsImplausibleSize(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SegmentFileName(4)), make([]byte, segMinBytes-1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := ReadSegmentFile(dir, 4, 6); err == nil {
+		t.Fatal("ReadSegmentFile accepted a file shorter than any segment")
 	}
 }
 

@@ -215,21 +215,7 @@ func (o MBIOptions) spillConfig() *core.SpillConfig {
 	if o.SpillDir == "" {
 		return nil
 	}
-	dir, dim := o.SpillDir, o.Dim
-	return &core.SpillConfig{
-		Write: func(id, lo, hi, height int, g *graph.CSR, c *sq.Codes) (int64, error) {
-			return persist.WriteSegmentFile(dir, id, lo, hi, height, dim, g, c)
-		},
-		Load: func(ctx context.Context, key uint64) (blockcache.Value, error) {
-			g, c, _, _, err := persist.ReadSegmentFile(dir, int(key), dim)
-			if err != nil {
-				return blockcache.Value{}, err
-			}
-			return blockcache.Value{Graph: g, Codes: c}, nil
-		},
-		MaxHeight:  o.SpillMaxHeight,
-		CacheBytes: o.CacheBytes,
-	}
+	return persist.SegmentSpill(o.SpillDir, o.Dim, o.SpillMaxHeight, o.CacheBytes)
 }
 
 func (o MBIOptions) coreOptions() (core.Options, error) {

@@ -108,6 +108,41 @@ func TestInjectedCacheLoadErrorDegradesToPartial(t *testing.T) {
 	assertSameResults(t, res2, want)
 }
 
+// TestInjectedSegmentReadErrorDegradesOneQuery pins the persist.read
+// fault point on the segment read path: one failed segment read
+// degrades exactly one query to Partial, and since failed loads are not
+// cached the next query pages the segment in and answers bit-identically
+// to the RAM twin.
+func TestInjectedSegmentReadErrorDegradesOneQuery(t *testing.T) {
+	tiered, ram, vecs := buildTieredPair(t, 200)
+	if n, _, err := tiered.SpillCold(); err != nil || n == 0 {
+		t.Fatalf("SpillCold: %d blocks, %v", n, err)
+	}
+	q := tknn.Query{Vector: vecs[3], K: 10, Start: 0, End: 200}
+	requireColdPlan(t, tiered, q.Start, q.End)
+
+	mustConfigure(t, "persist.read:error:count=1")
+	_, info, err := tiered.SearchDetailed(context.Background(), q)
+	if err != nil {
+		t.Fatalf("SearchDetailed under injection: %v", err)
+	}
+	if !info.Partial {
+		t.Fatal("failed segment read served without Partial")
+	}
+	res, info, err := tiered.SearchDetailed(context.Background(), q)
+	if err != nil {
+		t.Fatalf("SearchDetailed after the injected failure: %v", err)
+	}
+	if info.Partial {
+		t.Fatal("a second query was degraded by a one-shot read failure")
+	}
+	want, err := ram.Search(q)
+	if err != nil {
+		t.Fatalf("ram Search: %v", err)
+	}
+	assertSameResults(t, res, want)
+}
+
 func TestInjectedCacheLoadLatencySurfacesAsFetch(t *testing.T) {
 	tiered, ram, vecs := buildTieredPair(t, 200)
 	if n, _, err := tiered.SpillCold(); err != nil || n == 0 {
